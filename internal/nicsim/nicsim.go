@@ -1,20 +1,25 @@
 // Package nicsim simulates a NIC whose descriptor interface is defined by an
 // OpenDesc P4 description. The simulated device *executes the same
-// declarative contract the compiler analyzes*: per received packet it walks
-// the completion deparser's control-flow graph under the programmed context
-// registers, computes the offload metadata with golden reference engines, and
-// DMAs the serialized completion record into a completion ring — so the
-// layouts the compiler derives and the bytes the device emits are validated
-// against each other end-to-end.
+// declarative contract the compiler analyzes*: on the first packet after a
+// context-register change it lowers the completion deparser's control-flow
+// graph to a flat emit program — every branch folded under the programmed
+// registers, leaving (bit offset, width, offload slot or constant) writes —
+// and per packet it runs only the offload engines that program reads before
+// DMAing the serialized completion record into a completion ring. The
+// per-packet CFG interpreter the device started from stays as the executable
+// reference (ReferenceCompletion) and as the fallback for deparsers whose
+// branches read per-packet metadata. Either way the layouts the compiler
+// derives and the bytes the device emits are validated against each other
+// end-to-end.
 package nicsim
 
 import (
+	"errors"
 	"fmt"
+	"math/bits"
 	"strconv"
 	"strings"
 	"sync/atomic"
-
-	"errors"
 
 	"opendesc/internal/bitfield"
 	"opendesc/internal/core"
@@ -101,11 +106,13 @@ type Device struct {
 	cmptBytes obs.Counter
 	// pathHits counts completions per enumerated path (index into paths).
 	pathHits []obs.Counter
-	// offloads counts per-semantic offload-engine invocations.
-	offloads map[semantics.Name]*obs.Counter
-	// curPath caches the index of the path the current context selects;
-	// −1 means "recompute on next packet" (set by WriteReg).
-	curPath atomic.Int32
+	// offloads counts offload-engine invocations, indexed like
+	// offloadSemantics.
+	offloads [numOffloads]obs.Counter
+	// prog caches the completion deparser lowered under the current
+	// context; nil means "lower on the next packet" (set by WriteReg and
+	// Reset).
+	prog atomic.Pointer[emitProgram]
 
 	// faults, when non-nil, is the fault-injection layer consulted on every
 	// DMA/completion and control-channel operation.
@@ -125,25 +132,31 @@ type Device struct {
 	metaParams []*sema.BoundParam
 	ctxParam   string
 	// envFields is the flattened field list of metaParams, precomputed once
-	// so the per-packet emit path never rebuilds dotted field names.
-	envFields []envField
+	// so neither lowering nor the reference interpreter rebuilds dotted
+	// field names; fieldIndex maps a dotted name to its envFields index.
+	envFields  []envField
+	fieldIndex map[string]int
 
 	// scratch
 	info    pkt.Info
+	vals    [numOffloads]uint64
 	envBuf  sema.MapEnv
-	valsBuf map[semantics.Name]uint64
 	cmptBuf []byte
 }
 
 // envField is one leaf field of a deparser composite parameter.
 type envField struct {
 	name  string // dotted path, e.g. "cqe.rss_hash"
-	sem   semantics.Name
+	slot  int    // offloadSemantics index of its semantic; −1 when untagged or not computed
 	width int
 }
 
 // maxCompletionBytes bounds a single completion record in the simulator.
 const maxCompletionBytes = 256
+
+// maxWalkSteps bounds a deparser CFG walk; it only trips on a malformed
+// graph.
+const maxWalkSteps = 10000
 
 // ErrDeviceHang reports that the device is wedged: RX, TX and the control
 // channel all refuse service until a reset succeeds.
@@ -165,25 +178,18 @@ func New(m *nic.Model, cfg Config) (*Device, error) {
 		return nil, err
 	}
 	d := &Device{
-		Model:    m,
-		cfg:      cfg,
-		graph:    g,
-		paths:    paths,
-		ctx:      make(map[string]sema.Value),
-		CmptRing: ring.MustNew(maxCompletionBytes, cfg.RingEntries),
-		Buffers:  ring.MustNewBufferPool(cfg.BufSize, cfg.RingEntries),
-		envBuf:   make(sema.MapEnv),
-		valsBuf:  make(map[semantics.Name]uint64, 32),
-		cmptBuf:  make([]byte, maxCompletionBytes),
-		pathHits: make([]obs.Counter, len(paths)),
-		offloads: make(map[semantics.Name]*obs.Counter, len(offloadSemantics)),
+		Model:      m,
+		cfg:        cfg,
+		graph:      g,
+		paths:      paths,
+		ctx:        make(map[string]sema.Value),
+		CmptRing:   ring.MustNew(maxCompletionBytes, cfg.RingEntries),
+		Buffers:    ring.MustNewBufferPool(cfg.BufSize, cfg.RingEntries),
+		envBuf:     make(sema.MapEnv),
+		cmptBuf:    make([]byte, maxCompletionBytes),
+		pathHits:   make([]obs.Counter, len(paths)),
+		fieldIndex: make(map[string]int),
 	}
-	// Pre-create the per-semantic counters so the hot path never mutates
-	// the map (a concurrent scraper may be iterating it).
-	for _, s := range offloadSemantics {
-		d.offloads[s] = &obs.Counter{}
-	}
-	d.curPath.Store(-1)
 	inst := g.Instance()
 	for _, p := range inst.Params {
 		ct, ok := p.Type.(*sema.CompositeType)
@@ -220,7 +226,12 @@ func (d *Device) flattenFields(prefix string, ct *sema.CompositeType) {
 		if w <= 0 || w > 64 {
 			continue
 		}
-		d.envFields = append(d.envFields, envField{name: name, sem: semantics.Name(f.Semantic), width: w})
+		slot := -1
+		if i, ok := offloadSlot[semantics.Name(f.Semantic)]; ok {
+			slot = i
+		}
+		d.fieldIndex[name] = len(d.envFields)
+		d.envFields = append(d.envFields, envField{name: name, slot: slot, width: w})
 	}
 }
 
@@ -242,7 +253,7 @@ func MustNew(m *nic.Model, cfg Config) *Device {
 // "ctx.use_rss".
 func (d *Device) WriteReg(path string, v uint64) {
 	d.ctx[path] = sema.UintValue(v, 64)
-	d.curPath.Store(-1) // context changed: re-resolve the active path lazily
+	d.prog.Store(nil) // context changed: re-lower on the next packet
 }
 
 // ReadReg returns a context register value (0 when never written).
@@ -298,17 +309,68 @@ func (d *Device) ActivePath() (*core.Path, error) {
 // struct the control channel programs), e.g. "ctx".
 func (d *Device) ContextParam() string { return d.ctxParam }
 
+// Offload slots: the index of each semantic the simulated offload engines
+// compute, into offloadSemantics, the per-packet value array and the
+// invocation counters.
+const (
+	oPktLen = iota
+	oTimestamp
+	oQueueID
+	oMark
+	oCryptoCtx
+	oLROSegs
+	oSegCnt
+	oRXDropHint
+	oErrorFlags
+	oRSS
+	oIPChecksum
+	oL4Checksum
+	oVLAN
+	oPType
+	oFlowID
+	oIPID
+	oKVKey
+	oPayloadHash
+	oTunnelID
+	oL4Port
+	oDecapFlag
+	oChecksumAny
+	oParserDepth
+	numOffloads
+)
+
 // offloadSemantics is every semantic the simulated offload engines can
-// compute; the per-semantic invocation counters are pre-created from this
-// list so RxPacket never mutates the counter map.
-var offloadSemantics = []semantics.Name{
-	semantics.PktLen, semantics.Timestamp, semantics.QueueID, semantics.Mark,
-	semantics.CryptoCtx, semantics.LROSegs, semantics.SegCnt, semantics.RXDropHint,
-	semantics.ErrorFlags, semantics.RSS, semantics.IPChecksum, semantics.L4Checksum,
-	semantics.VLAN, semantics.PType, semantics.FlowID, semantics.IPID,
-	semantics.KVKey, semantics.PayloadHash, semantics.TunnelID, semantics.L4Port,
-	semantics.DecapFlag, semantics.ChecksumAny, semantics.ParserDepth,
+// compute, indexed by offload slot.
+var offloadSemantics = [numOffloads]semantics.Name{
+	oPktLen: semantics.PktLen, oTimestamp: semantics.Timestamp, oQueueID: semantics.QueueID,
+	oMark: semantics.Mark, oCryptoCtx: semantics.CryptoCtx, oLROSegs: semantics.LROSegs,
+	oSegCnt: semantics.SegCnt, oRXDropHint: semantics.RXDropHint, oErrorFlags: semantics.ErrorFlags,
+	oRSS: semantics.RSS, oIPChecksum: semantics.IPChecksum, oL4Checksum: semantics.L4Checksum,
+	oVLAN: semantics.VLAN, oPType: semantics.PType, oFlowID: semantics.FlowID,
+	oIPID: semantics.IPID, oKVKey: semantics.KVKey, oPayloadHash: semantics.PayloadHash,
+	oTunnelID: semantics.TunnelID, oL4Port: semantics.L4Port, oDecapFlag: semantics.DecapFlag,
+	oChecksumAny: semantics.ChecksumAny, oParserDepth: semantics.ParserDepth,
 }
+
+// offloadSlot maps a semantic to its offload slot.
+var offloadSlot = func() map[semantics.Name]int {
+	m := make(map[semantics.Name]int, numOffloads)
+	for i, s := range offloadSemantics {
+		m[s] = i
+	}
+	return m
+}()
+
+// offloadSet is a set of offload slots.
+type offloadSet uint32
+
+const (
+	allOffloads offloadSet = 1<<numOffloads - 1
+	// headerOffloads need the decoded packet; the rest are device state or
+	// the frame length.
+	headerOffloads offloadSet = allOffloads &^ (1<<oPktLen | 1<<oTimestamp | 1<<oQueueID |
+		1<<oMark | 1<<oCryptoCtx | 1<<oLROSegs | 1<<oSegCnt | 1<<oRXDropHint)
+)
 
 // DeviceStats is a point-in-time snapshot of a device's ethtool-style
 // counters.
@@ -364,31 +426,12 @@ func (d *Device) Stats() DeviceStats {
 			st.CompletionsByPath[d.paths[i].ID] = n
 		}
 	}
-	for name, c := range d.offloads {
-		if n := c.Load(); n > 0 {
-			st.Offloads[name] = n
+	for i := range d.offloads {
+		if n := d.offloads[i].Load(); n > 0 {
+			st.Offloads[offloadSemantics[i]] = n
 		}
 	}
 	return st
-}
-
-// activePathIndex resolves (and caches) the index of the path the current
-// context registers select; −1 when no path matches.
-func (d *Device) activePathIndex() int {
-	if idx := d.curPath.Load(); idx >= 0 {
-		return int(idx)
-	}
-	p, err := d.ActivePath()
-	if err != nil {
-		return -1
-	}
-	for i := range d.paths {
-		if d.paths[i] == p {
-			d.curPath.Store(int32(i))
-			return i
-		}
-	}
-	return -1
 }
 
 // RegisterMetrics exposes the device counters (and its completion ring's)
@@ -409,9 +452,9 @@ func (d *Device) RegisterMetrics(reg *obs.Registry, extra ...obs.Label) {
 		labels := append(append([]obs.Label{}, base...), obs.L("path", strconv.Itoa(d.paths[i].ID)))
 		reg.AttachCounter("opendesc_dev_path_completions_total", "completions emitted per deparser path", &d.pathHits[i], labels...)
 	}
-	for _, s := range offloadSemantics {
+	for i, s := range offloadSemantics {
 		labels := append(append([]obs.Label{}, base...), obs.L("semantic", string(s)))
-		reg.AttachCounter("opendesc_dev_offload_invocations_total", "offload-engine invocations per semantic", d.offloads[s], labels...)
+		reg.AttachCounter("opendesc_dev_offload_invocations_total", "offload-engine invocations per semantic", &d.offloads[i], labels...)
 	}
 	r := d.CmptRing
 	rl := append(append([]obs.Label{}, base...), obs.L("ring", "cmpt"))
@@ -425,10 +468,12 @@ func (d *Device) RegisterMetrics(reg *obs.Registry, extra ...obs.Label) {
 }
 
 // RxPacket makes the device receive one packet from the wire: it DMAs the
-// packet into the next buffer slot, computes the offload metadata, walks the
-// deparser CFG under the programmed context, and DMAs the completion record.
-// It returns false when the completion ring is full (packet dropped, as
-// hardware would).
+// packet into the next buffer slot, computes the offload metadata the active
+// completion path needs, serializes the completion record with the lowered
+// emit program (or the reference interpreter, when the deparser does not
+// fold), and DMAs it. It returns false when the packet is dropped: the
+// device is wedged, the completion ring is full, or no completion can be
+// serialized under the programmed context.
 func (d *Device) RxPacket(packet []byte) bool {
 	if d.faults != nil && d.faults.Tick() {
 		// Wedged: the device refuses the packet outright.
@@ -448,17 +493,19 @@ func (d *Device) RxPacket(packet []byte) bool {
 		d.clock += d.cfg.TimestampStep
 	}
 
-	vals := d.computeOffloads(packet)
-	for name := range vals {
-		if c := d.offloads[name]; c != nil {
-			c.Inc()
-		}
+	prog := d.program()
+	for ran := d.computeOffloads(packet, prog.need, &d.vals); ran != 0; ran &= ran - 1 {
+		d.offloads[bits.TrailingZeros32(uint32(ran))].Inc()
 	}
-	env := d.buildEnv(vals)
-	n, err := d.serializeCompletion(env, d.cmptBuf)
-	if err != nil {
-		d.drops.Inc()
-		return false
+	var n int
+	if prog.lowered {
+		n = prog.emit(&d.vals, d.cmptBuf)
+	} else {
+		var err error
+		if n, err = d.serializeCompletion(d.buildEnv(&d.vals), d.cmptBuf); err != nil {
+			d.drops.Inc()
+			return false
+		}
 	}
 	rec, extra := d.cmptBuf[:n], []byte(nil)
 	if d.faults != nil {
@@ -486,7 +533,7 @@ func (d *Device) RxPacket(packet []byte) bool {
 	d.rxPackets.Inc()
 	d.rxBytes.Add(uint64(len(packet)))
 	d.cmptBytes.Add(uint64(len(rec)))
-	idx := d.activePathIndex()
+	idx := prog.pathIdx
 	if idx >= 0 {
 		d.pathHits[idx].Inc()
 	}
@@ -547,93 +594,129 @@ func (d *Device) Reset() error {
 	}
 	d.CmptRing.Reset()
 	d.ctx = make(map[string]sema.Value)
-	d.curPath.Store(-1)
+	d.prog.Store(nil)
 	d.resets.Inc()
 	d.fq.Record(flight.EvDevReset, uint32(d.resets.Load()), 0, 0)
 	return nil
 }
 
-// computeOffloads runs the golden reference engines over the packet. The
-// returned map is the device's scratch buffer, valid until the next packet.
-func (d *Device) computeOffloads(packet []byte) map[semantics.Name]uint64 {
+// computeOffloads runs the golden reference engines for the offload slots in
+// need, writing their values into v, and returns the slots whose engine ran.
+// A packet that fails to decode runs no header engine: error_flags reports
+// 0x80 (parse error) and every other header slot reads 0. decap_flag runs
+// only for tunnelled packets, as its engine only fires on a decapsulation.
+func (d *Device) computeOffloads(packet []byte, need offloadSet, v *[numOffloads]uint64) offloadSet {
+	v[oPktLen] = uint64(len(packet))
+	v[oTimestamp] = d.clock
+	v[oQueueID] = uint64(d.cfg.QueueID)
+	v[oMark] = d.cfg.Mark
+	v[oCryptoCtx] = d.cfg.CryptoCtx
+	v[oLROSegs] = 1
+	v[oSegCnt] = 1
+	v[oRXDropHint] = 0
+	ran := need &^ headerOffloads
+	hdr := need & headerOffloads
+	if hdr == 0 {
+		return ran
+	}
 	in := &d.info
-	decodeOK := pkt.Decode(packet, in) == nil
-	vals := d.valsBuf
-	for k := range vals {
-		delete(vals, k)
+	if pkt.Decode(packet, in) != nil {
+		for s := hdr; s != 0; s &= s - 1 {
+			v[bits.TrailingZeros32(uint32(s))] = 0
+		}
+		v[oErrorFlags] = 0x80
+		return ran | hdr&(1<<oErrorFlags)
 	}
-	vals[semantics.PktLen] = uint64(len(packet))
-	vals[semantics.Timestamp] = d.clock
-	vals[semantics.QueueID] = uint64(d.cfg.QueueID)
-	vals[semantics.Mark] = d.cfg.Mark
-	vals[semantics.CryptoCtx] = d.cfg.CryptoCtx
-	vals[semantics.LROSegs] = 1
-	vals[semantics.SegCnt] = 1
-	vals[semantics.RXDropHint] = 0
-	if !decodeOK {
-		vals[semantics.ErrorFlags] = 0x80 // parse error
-		return vals
+	ran |= hdr &^ (1 << oDecapFlag)
+	has := func(slot int) bool { return hdr&(1<<slot) != 0 }
+	if has(oRSS) {
+		v[oRSS] = uint64(softnic.RSS(in))
 	}
-	vals[semantics.RSS] = uint64(softnic.RSS(in))
-	vals[semantics.IPChecksum] = uint64(softnic.IPChecksum(in))
-	vals[semantics.L4Checksum] = uint64(softnic.L4Checksum(in))
-	vals[semantics.VLAN] = uint64(softnic.VLANTCI(in))
-	vals[semantics.PType] = uint64(softnic.PType(in))
-	vals[semantics.FlowID] = uint64(softnic.FlowID(in))
-	vals[semantics.IPID] = uint64(in.IPID)
-	vals[semantics.KVKey] = softnic.KVKey(in)
-	vals[semantics.PayloadHash] = uint64(softnic.PayloadHash(in))
-	vals[semantics.TunnelID] = uint64(softnic.TunnelID(in))
-	vals[semantics.L4Port] = uint64(in.DstPort)
-	if vals[semantics.TunnelID] != 0 {
-		vals[semantics.DecapFlag] = 1
+	if has(oIPChecksum) {
+		v[oIPChecksum] = uint64(softnic.IPChecksum(in))
 	}
-	var errFlags uint64
-	if in.L3 == pkt.L3IPv4 && in.L3Off >= 0 {
-		hdr := in.Data[in.L3Off:]
-		ihl := int(hdr[0]&0x0F) * 4
-		if ihl >= pkt.IPv4MinLen && in.L3Off+ihl <= len(in.Data) && !pkt.VerifyIPv4Header(hdr[:ihl]) {
-			errFlags |= 1
+	if has(oL4Checksum) {
+		v[oL4Checksum] = uint64(softnic.L4Checksum(in))
+	}
+	if has(oVLAN) {
+		v[oVLAN] = uint64(softnic.VLANTCI(in))
+	}
+	if has(oPType) {
+		v[oPType] = uint64(softnic.PType(in))
+	}
+	if has(oFlowID) {
+		v[oFlowID] = uint64(softnic.FlowID(in))
+	}
+	if has(oIPID) {
+		v[oIPID] = uint64(in.IPID)
+	}
+	if has(oKVKey) {
+		v[oKVKey] = softnic.KVKey(in)
+	}
+	if has(oPayloadHash) {
+		v[oPayloadHash] = uint64(softnic.PayloadHash(in))
+	}
+	if has(oTunnelID) || has(oDecapFlag) {
+		v[oTunnelID] = uint64(softnic.TunnelID(in))
+		v[oDecapFlag] = 0
+		if v[oTunnelID] != 0 {
+			v[oDecapFlag] = 1
+			ran |= hdr & (1 << oDecapFlag)
 		}
 	}
-	if (in.L4 == pkt.L4TCP || in.L4 == pkt.L4UDP) && !pkt.VerifyL4(in) {
-		errFlags |= 2
+	if has(oL4Port) {
+		v[oL4Port] = uint64(in.DstPort)
 	}
-	vals[semantics.ErrorFlags] = errFlags
-	lvl := uint64(0)
-	if in.L3 == pkt.L3IPv4 {
-		lvl = 1
+	if has(oErrorFlags) {
+		var errFlags uint64
+		if in.L3 == pkt.L3IPv4 && in.L3Off >= 0 {
+			ip := in.Data[in.L3Off:]
+			ihl := int(ip[0]&0x0F) * 4
+			if ihl >= pkt.IPv4MinLen && in.L3Off+ihl <= len(in.Data) && !pkt.VerifyIPv4Header(ip[:ihl]) {
+				errFlags |= 1
+			}
+		}
+		if (in.L4 == pkt.L4TCP || in.L4 == pkt.L4UDP) && !pkt.VerifyL4(in) {
+			errFlags |= 2
+		}
+		v[oErrorFlags] = errFlags
 	}
-	if in.L4 == pkt.L4TCP || in.L4 == pkt.L4UDP {
-		lvl = 2
+	if has(oChecksumAny) {
+		lvl := uint64(0)
+		if in.L3 == pkt.L3IPv4 {
+			lvl = 1
+		}
+		if in.L4 == pkt.L4TCP || in.L4 == pkt.L4UDP {
+			lvl = 2
+		}
+		v[oChecksumAny] = lvl
 	}
-	vals[semantics.ChecksumAny] = lvl
-	depth := uint64(1)
-	if in.L3 != pkt.L3None {
-		depth++
+	if has(oParserDepth) {
+		depth := uint64(1)
+		if in.L3 != pkt.L3None {
+			depth++
+		}
+		if in.L4 != pkt.L4None {
+			depth++
+		}
+		v[oParserDepth] = depth
 	}
-	if in.L4 != pkt.L4None {
-		depth++
-	}
-	vals[semantics.ParserDepth] = depth
-	return vals
+	return ran
 }
 
 // buildEnv maps every semantic-tagged field of the deparser's composite
-// parameters to its computed value, plus the context registers. It walks the
-// field list flattened at construction — no per-packet name building.
-func (d *Device) buildEnv(vals map[semantics.Name]uint64) sema.MapEnv {
+// parameters to its offload value (masked to the field width), plus the
+// context registers: the environment the reference interpreter walks under.
+func (d *Device) buildEnv(vals *[numOffloads]uint64) sema.MapEnv {
 	env := d.envBuf
-	for k := range env {
-		delete(env, k)
-	}
+	clear(env)
 	for k, v := range d.ctx {
 		env[k] = v
 	}
 	for _, f := range d.envFields {
 		var v uint64
-		if f.sem != "" {
-			v = vals[f.sem]
+		if f.slot >= 0 {
+			v = vals[f.slot]
 			if f.width < 64 {
 				v &= (uint64(1) << f.width) - 1
 			}
@@ -641,6 +724,167 @@ func (d *Device) buildEnv(vals map[semantics.Name]uint64) sema.MapEnv {
 		env[f.name] = sema.UintValue(v, f.width)
 	}
 	return env
+}
+
+// ReferenceCompletion returns the completion record the reference CFG
+// interpreter serializes for packet under the current context registers and
+// the timestamp of the last received packet: every offload engine runs into
+// fresh storage, a string-keyed environment is built, and the deparser graph
+// is walked branch by branch. It touches no counter, ring or fault state, so
+// a test can call it right after RxPacket to check the record the device
+// emitted; like RxPacket it must run on the datapath goroutine. An error
+// means the interpreter cannot serialize any completion (RxPacket drops the
+// packet).
+func (d *Device) ReferenceCompletion(packet []byte) ([]byte, error) {
+	var vals [numOffloads]uint64
+	d.computeOffloads(packet, allOffloads, &vals)
+	rec := make([]byte, maxCompletionBytes)
+	n, err := d.serializeCompletion(d.buildEnv(&vals), rec)
+	if err != nil {
+		return nil, err
+	}
+	return rec[:n], nil
+}
+
+// emitProgram is the completion deparser lowered under one context: the
+// branches folded away, leaving the flat list of field writes the selected
+// path performs.
+type emitProgram struct {
+	// lowered is false when the deparser did not fold (a reachable branch
+	// reads per-packet metadata, no enumerated path matches the context, or
+	// the walk fails for every packet); RxPacket then runs the reference
+	// interpreter, with every offload engine.
+	lowered bool
+	ops     []emitOp
+	// need is the set of offload slots the ops read.
+	need offloadSet
+	// size is the completion record size in bytes.
+	size int
+	// pathIdx indexes the enumerated path the context selects (the
+	// path-hit counter); −1 when none matches.
+	pathIdx int
+}
+
+// emitOp writes one completion field: an offload value, or a folded
+// constant when slot is −1. Zero constants are omitted (the record starts
+// zeroed).
+type emitOp struct {
+	off, width int
+	slot       int
+	val        uint64
+}
+
+// emit serializes the completion record into dst and returns its size.
+func (p *emitProgram) emit(vals *[numOffloads]uint64, dst []byte) int {
+	rec := dst[:p.size]
+	clear(rec)
+	for i := range p.ops {
+		op := &p.ops[i]
+		v := op.val
+		if op.slot >= 0 {
+			v = vals[op.slot]
+		}
+		bitfield.Write(rec, op.off, op.width, v)
+	}
+	return p.size
+}
+
+// program returns the emit program for the current context, lowering it on
+// the first packet after a context change.
+func (d *Device) program() *emitProgram {
+	if p := d.prog.Load(); p != nil {
+		return p
+	}
+	p := d.lower()
+	d.prog.Store(p)
+	return p
+}
+
+// Lowered reports whether the device serializes completions under the
+// current context with a lowered emit program rather than the reference
+// interpreter (lowering first if the context changed since the last packet).
+func (d *Device) Lowered() bool { return d.program().lowered }
+
+// lower folds the deparser CFG under the context registers. It takes the
+// same walk as serializeCompletion, but with an environment holding only
+// the registers: a branch that reads per-packet metadata fails to evaluate,
+// and the device keeps the reference interpreter for this context.
+func (d *Device) lower() *emitProgram {
+	ref := &emitProgram{need: allOffloads, pathIdx: -1}
+	active, err := d.ActivePath()
+	if err != nil {
+		return ref
+	}
+	for i := range d.paths {
+		if d.paths[i] == active {
+			ref.pathIdx = i
+		}
+	}
+	p := &emitProgram{lowered: true, pathIdx: ref.pathIdx}
+	info := d.graph.Info()
+	env := foldEnv{d}
+	node := d.graph.Entry
+	offBits := 0
+	for steps := 0; node.Kind != core.NodeExit; steps++ {
+		if steps >= maxWalkSteps {
+			return ref
+		}
+		if node.Kind == core.NodeEmit {
+			for _, f := range node.Emit.Fields {
+				if offBits+f.WidthBits > maxCompletionBytes*8 {
+					return ref
+				}
+				if f.WidthBits <= 64 {
+					if op, ok := d.lowerField(f.Name); ok {
+						op.off, op.width = offBits, f.WidthBits
+						if op.slot >= 0 {
+							p.need |= 1 << op.slot
+						}
+						p.ops = append(p.ops, op)
+					}
+				}
+				offBits += f.WidthBits
+			}
+		}
+		next, err := d.step(node, env, info)
+		if err != nil {
+			return ref
+		}
+		node = next
+	}
+	p.size = (offBits + 7) / 8
+	return p
+}
+
+// lowerField resolves what the reference environment would hold for an
+// emitted field: a metadata field reads its offload slot, a context
+// register folds to its value, anything else is zero. ok is false for a
+// field that always writes zero.
+func (d *Device) lowerField(name string) (op emitOp, ok bool) {
+	if i, meta := d.fieldIndex[name]; meta {
+		f := d.envFields[i]
+		if f.slot < 0 {
+			return emitOp{}, false
+		}
+		return emitOp{slot: f.slot}, true
+	}
+	if v := d.ctx[name].Uint; v != 0 {
+		return emitOp{slot: -1, val: v}, true
+	}
+	return emitOp{}, false
+}
+
+// foldEnv is the environment branches fold under while lowering: the
+// context registers, minus any name a metadata field shadows in the
+// reference environment.
+type foldEnv struct{ d *Device }
+
+func (e foldEnv) Lookup(path string) (sema.Value, bool) {
+	if _, meta := e.d.fieldIndex[path]; meta {
+		return sema.Value{}, false
+	}
+	v, ok := e.d.ctx[path]
+	return v, ok
 }
 
 // serializeCompletion walks the deparser CFG under env, writing emitted
@@ -654,7 +898,7 @@ func (d *Device) serializeCompletion(env sema.Env, dst []byte) (int, error) {
 	offBits := 0
 	steps := 0
 	for node.Kind != core.NodeExit {
-		if steps++; steps > 10000 {
+		if steps++; steps > maxWalkSteps {
 			return 0, fmt.Errorf("nicsim: deparser walk did not terminate")
 		}
 		if node.Kind == core.NodeEmit {

@@ -49,11 +49,17 @@ func TestDeviceStatsContents(t *testing.T) {
 	if len(st.CompletionsByPath) != 1 || st.CompletionsByPath[active.ID] != n {
 		t.Errorf("per-path completions = %v, want {%d: %d}", st.CompletionsByPath, active.ID, n)
 	}
-	// The offload engines run for every accepted packet regardless of which
-	// semantics the active layout carries.
+	// The lowered completion path runs only the offload engines of the
+	// semantics the active layout emits: once per accepted packet for those,
+	// never for the rest.
 	for _, s := range []semantics.Name{semantics.RSS, semantics.VLAN, semantics.PktLen} {
 		if st.Offloads[s] != n {
 			t.Errorf("offload %s = %d, want %d", s, st.Offloads[s], n)
+		}
+	}
+	for _, s := range []semantics.Name{semantics.PayloadHash, semantics.KVKey} {
+		if st.Offloads[s] != 0 {
+			t.Errorf("offload %s = %d for a semantic the path does not emit, want 0", s, st.Offloads[s])
 		}
 	}
 	want := st.Ring

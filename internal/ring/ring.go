@@ -63,11 +63,13 @@ type Stats struct {
 }
 
 // Stats returns a snapshot of the ring counters. Safe to call concurrently
-// with the producer and consumer.
+// with the producer and consumer; Consumed is loaded first so the snapshot
+// never shows more entries consumed than produced.
 func (r *Ring) Stats() Stats {
+	consumed := r.consumed.Load()
 	return Stats{
 		Produced:    r.produced.Load(),
-		Consumed:    r.consumed.Load(),
+		Consumed:    consumed,
 		FullStalls:  r.fullStalls.Load(),
 		EmptyStalls: r.emptyStalls.Load(),
 		Oversized:   r.oversized.Load(),
@@ -156,8 +158,10 @@ func (r *Ring) Produce(fill func(entry []byte)) bool {
 		return false
 	}
 	fill(r.slot(tail))
-	r.tail.Store(tail + 1)
+	// Count before publishing, so a concurrent Stats never sees an entry
+	// consumed before it was produced.
 	r.noteProduced(tail + 1 - head)
+	r.tail.Store(tail + 1)
 	if r.fq != nil {
 		// Pushes are routine per-completion traffic: sampled. Wraps are rare
 		// (one per lap) and always recorded.
