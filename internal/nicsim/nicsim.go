@@ -668,38 +668,13 @@ func (d *Device) computeOffloads(packet []byte, need offloadSet, v *[numOffloads
 		v[oL4Port] = uint64(in.DstPort)
 	}
 	if has(oErrorFlags) {
-		var errFlags uint64
-		if in.L3 == pkt.L3IPv4 && in.L3Off >= 0 {
-			ip := in.Data[in.L3Off:]
-			ihl := int(ip[0]&0x0F) * 4
-			if ihl >= pkt.IPv4MinLen && in.L3Off+ihl <= len(in.Data) && !pkt.VerifyIPv4Header(ip[:ihl]) {
-				errFlags |= 1
-			}
-		}
-		if (in.L4 == pkt.L4TCP || in.L4 == pkt.L4UDP) && !pkt.VerifyL4(in) {
-			errFlags |= 2
-		}
-		v[oErrorFlags] = errFlags
+		v[oErrorFlags] = softnic.ErrorFlags(in)
 	}
 	if has(oChecksumAny) {
-		lvl := uint64(0)
-		if in.L3 == pkt.L3IPv4 {
-			lvl = 1
-		}
-		if in.L4 == pkt.L4TCP || in.L4 == pkt.L4UDP {
-			lvl = 2
-		}
-		v[oChecksumAny] = lvl
+		v[oChecksumAny] = softnic.ChecksumAny(in)
 	}
 	if has(oParserDepth) {
-		depth := uint64(1)
-		if in.L3 != pkt.L3None {
-			depth++
-		}
-		if in.L4 != pkt.L4None {
-			depth++
-		}
-		v[oParserDepth] = depth
+		v[oParserDepth] = softnic.ParserDepth(in)
 	}
 	return ran
 }

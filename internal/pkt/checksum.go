@@ -1,6 +1,9 @@
 package pkt
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // ChecksumAccumulator incrementally computes the Internet (RFC 1071) one's
 // complement checksum.
@@ -11,24 +14,57 @@ type ChecksumAccumulator struct {
 
 // Add folds data into the checksum, handling odd-length segments across
 // calls.
+//
+// The sum runs over 64-bit big-endian words with end-around carry (RFC 1071
+// §2: deferred carries and byte-order independence). 2^16 ≡ 1 mod 0xFFFF, so
+// a 64-bit word is congruent to the sum of its four 16-bit words, and an
+// end-around carry keeps a sum that is not all zeros from ever reaching 0:
+// Sum folds to exactly the value a 16-bit-at-a-time loop would produce.
 func (c *ChecksumAccumulator) Add(data []byte) {
-	i := 0
-	if c.odd && len(data) > 0 {
-		c.sum += uint64(data[0])
-		i = 1
+	if len(data) == 0 {
+		return
+	}
+	sum, carry := c.sum, uint64(0)
+	if c.odd {
+		// The low byte of the 16-bit word the previous segment started.
+		sum, carry = bits.Add64(sum, uint64(data[0]), 0)
+		data = data[1:]
 		c.odd = false
 	}
-	for ; i+1 < len(data); i += 2 {
-		c.sum += uint64(binary.BigEndian.Uint16(data[i : i+2]))
+	for len(data) >= 32 {
+		w := data[:32:32]
+		sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(w[0:]), carry)
+		sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(w[8:]), carry)
+		sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(w[16:]), carry)
+		sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(w[24:]), carry)
+		data = data[32:]
 	}
-	if i < len(data) {
-		c.sum += uint64(data[i]) << 8
+	for len(data) >= 8 {
+		sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(data), carry)
+		data = data[8:]
+	}
+	for len(data) >= 2 {
+		sum, carry = bits.Add64(sum, uint64(binary.BigEndian.Uint16(data)), carry)
+		data = data[2:]
+	}
+	if len(data) == 1 {
+		sum, carry = bits.Add64(sum, uint64(data[0])<<8, carry)
 		c.odd = true
 	}
+	c.sum = endAroundCarry(sum, carry)
 }
 
 // AddUint16 folds a single big-endian word.
-func (c *ChecksumAccumulator) AddUint16(v uint16) { c.sum += uint64(v) }
+func (c *ChecksumAccumulator) AddUint16(v uint16) {
+	c.sum = endAroundCarry(bits.Add64(c.sum, uint64(v), 0))
+}
+
+// endAroundCarry adds the carry out of a 64-bit one's complement sum back
+// into it. When that add wraps, the sum is 0 and the second carry lands as 1.
+func endAroundCarry(sum, carry uint64) uint64 {
+	sum, carry = bits.Add64(sum, carry, 0)
+	return sum + carry
+}
 
 // Sum finalizes and returns the one's complement checksum.
 func (c *ChecksumAccumulator) Sum() uint16 {

@@ -184,12 +184,7 @@ func (r *Ring) Push(rec []byte) bool {
 		r.oversized.Add(1)
 		return false
 	}
-	return r.Produce(func(e []byte) {
-		n := copy(e, rec)
-		for i := n; i < len(e); i++ {
-			e[i] = 0
-		}
-	})
+	return r.Produce(func(e []byte) { clear(e[copy(e, rec):]) })
 }
 
 // MustPush is Push that panics on an oversized record (a programming error

@@ -7,6 +7,7 @@
 package softnic
 
 import (
+	"bytes"
 	"encoding/binary"
 	"time"
 
@@ -131,17 +132,27 @@ func FlowID(in *pkt.Info) uint32 {
 	return h
 }
 
-// IPChecksum recomputes the IPv4 header checksum (0 for non-IPv4).
-func IPChecksum(in *pkt.Info) uint16 {
+// ipv4Header returns the IPv4 header of in, or nil when the packet is not
+// IPv4 or its IHL is out of range.
+func ipv4Header(in *pkt.Info) []byte {
 	if in.L3 != pkt.L3IPv4 || in.L3Off < 0 {
-		return 0
+		return nil
 	}
 	hdr := in.Data[in.L3Off:]
 	ihl := int(hdr[0]&0x0F) * 4
 	if ihl < pkt.IPv4MinLen || in.L3Off+ihl > len(in.Data) {
+		return nil
+	}
+	return hdr[:ihl]
+}
+
+// IPChecksum recomputes the IPv4 header checksum (0 for non-IPv4).
+func IPChecksum(in *pkt.Info) uint16 {
+	hdr := ipv4Header(in)
+	if hdr == nil {
 		return 0
 	}
-	return pkt.IPv4HeaderChecksum(hdr[:ihl])
+	return pkt.IPv4HeaderChecksum(hdr)
 }
 
 // L4Checksum recomputes the TCP/UDP checksum including pseudo-header.
@@ -173,16 +184,13 @@ func PayloadHash(in *pkt.Info) uint32 {
 // bytes, which is what a FlexNIC-style offload would steer on.
 func KVKey(in *pkt.Info) uint64 {
 	p := in.Payload()
-	// Skip the verb.
-	i := 0
-	for i < len(p) && p[i] != ' ' {
-		i++
-	}
-	if i == len(p) {
+	// Skip the verb and its space.
+	sp := bytes.IndexByte(p, ' ')
+	if sp < 0 {
 		return 0
 	}
-	i++ // the space
-	start := i
+	start := sp + 1
+	i := start
 	for i < len(p) && p[i] != ' ' && p[i] != '\r' && p[i] != '\n' {
 		i++
 	}
@@ -195,6 +203,44 @@ func KVKey(in *pkt.Info) uint64 {
 		h = (h ^ uint64(b)) * prime64
 	}
 	return h
+}
+
+// ErrorFlags reports checksum errors of a decoded packet: bit 0 a bad IPv4
+// header checksum, bit 1 a bad TCP/UDP checksum.
+func ErrorFlags(in *pkt.Info) uint64 {
+	var f uint64
+	if hdr := ipv4Header(in); hdr != nil && !pkt.VerifyIPv4Header(hdr) {
+		f |= 1
+	}
+	if (in.L4 == pkt.L4TCP || in.L4 == pkt.L4UDP) && !pkt.VerifyL4(in) {
+		f |= 2
+	}
+	return f
+}
+
+// ChecksumAny reports the deepest layer a checksum engine covers: 0 none,
+// 1 the IPv4 header, 2 TCP/UDP.
+func ChecksumAny(in *pkt.Info) uint64 {
+	switch {
+	case in.L4 == pkt.L4TCP || in.L4 == pkt.L4UDP:
+		return 2
+	case in.L3 == pkt.L3IPv4:
+		return 1
+	}
+	return 0
+}
+
+// ParserDepth counts the layers the parser reached: L2, plus L3 and L4 when
+// present.
+func ParserDepth(in *pkt.Info) uint64 {
+	d := uint64(1)
+	if in.L3 != pkt.L3None {
+		d++
+	}
+	if in.L4 != pkt.L4None {
+		d++
+	}
+	return d
 }
 
 // TunnelID extracts the VXLAN VNI when the packet is a VXLAN encapsulation
@@ -249,40 +295,9 @@ func Funcs() map[semantics.Name]codegen.SoftFunc {
 		semantics.DecapFlag:   perPacket(func(in *pkt.Info) uint64 { return boolBit(TunnelID(in) != 0) }),
 		semantics.L4Port:      perPacket(func(in *pkt.Info) uint64 { return uint64(in.DstPort) }),
 		semantics.SegCnt:      func(packet []byte) uint64 { return 1 },
-		semantics.ErrorFlags: perPacket(func(in *pkt.Info) uint64 {
-			var f uint64
-			if in.L3 == pkt.L3IPv4 && in.L3Off >= 0 {
-				hdr := in.Data[in.L3Off:]
-				ihl := int(hdr[0]&0x0F) * 4
-				if ihl >= pkt.IPv4MinLen && in.L3Off+ihl <= len(in.Data) && !pkt.VerifyIPv4Header(hdr[:ihl]) {
-					f |= 1
-				}
-			}
-			if (in.L4 == pkt.L4TCP || in.L4 == pkt.L4UDP) && !pkt.VerifyL4(in) {
-				f |= 2
-			}
-			return f
-		}),
-		semantics.ChecksumAny: perPacket(func(in *pkt.Info) uint64 {
-			lvl := uint64(0)
-			if in.L3 == pkt.L3IPv4 {
-				lvl = 1
-			}
-			if in.L4 == pkt.L4TCP || in.L4 == pkt.L4UDP {
-				lvl = 2
-			}
-			return lvl
-		}),
-		semantics.ParserDepth: perPacket(func(in *pkt.Info) uint64 {
-			d := uint64(1)
-			if in.L3 != pkt.L3None {
-				d++
-			}
-			if in.L4 != pkt.L4None {
-				d++
-			}
-			return d
-		}),
+		semantics.ErrorFlags:  perPacket(ErrorFlags),
+		semantics.ChecksumAny: perPacket(ChecksumAny),
+		semantics.ParserDepth: perPacket(ParserDepth),
 		// queue_id: the polling thread knows which queue it drains; the shim
 		// returns the conventional single-queue id and datapaths that spread
 		// over queues bind their own closure instead.
@@ -308,9 +323,7 @@ func innerChecksumStatus(in *pkt.Info) uint8 {
 		return 2
 	}
 	if inner.L3 == pkt.L3IPv4 && inner.L3Off >= 0 {
-		hdr := inner.Data[inner.L3Off:]
-		ihl := int(hdr[0]&0x0F) * 4
-		if ihl < pkt.IPv4MinLen || inner.L3Off+ihl > len(inner.Data) || !pkt.VerifyIPv4Header(hdr[:ihl]) {
+		if hdr := ipv4Header(&inner); hdr == nil || !pkt.VerifyIPv4Header(hdr) {
 			return 2
 		}
 	}
