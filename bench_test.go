@@ -264,10 +264,14 @@ func configuredDevice(b *testing.B, m *nic.Model, intent *core.Intent) *nicsim.D
 }
 
 // simulatorRx receives b.N trace packets, draining the ring before it
-// fills, and fails if the device dropped any packet.
+// fills, and fails if the device dropped any packet. One untimed packet goes
+// first: it pays the one-time costs (lowering the deparser, building the
+// RSS table) that are not per-packet work.
 func simulatorRx(b *testing.B, dev *nicsim.Device, tr *workload.Trace) {
 	b.Helper()
 	b.SetBytes(int64(tr.TotalBytes() / len(tr.Packets)))
+	dev.RxPacket(tr.Packets[0])
+	dev.CmptRing.Pop()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if dev.CmptRing.Free() == 0 {

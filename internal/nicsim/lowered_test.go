@@ -14,7 +14,8 @@ import (
 
 // packetBattery covers every offload engine's interesting inputs: VLAN and
 // QinQ tags, a VXLAN tunnel, a key-value request, bad IPv4 and L4
-// checksums, IPv6, a non-IP frame, and truncated and undecodable frames.
+// checksums, a UDP datagram without a checksum, IPv6, a non-IP frame, and
+// truncated and undecodable frames.
 func packetBattery() map[string][]byte {
 	vxlan := make([]byte, 8+14)
 	vxlan[0] = 0x08
@@ -26,6 +27,8 @@ func packetBattery() map[string][]byte {
 	threeTags = append(append(append([]byte{}, threeTags[:12]...), 0x81, 0x00, 0x00, 0x03), threeTags[12:]...)
 	badVersion := pkt.NewBuilder().Build()
 	badVersion[14] = 0x55
+	noUDPCsum := pkt.NewBuilder().WithUDP(5000, 53).WithPayload([]byte("dns?")).Build()
+	noUDPCsum[pkt.EthHeaderLen+pkt.IPv4MinLen+6], noUDPCsum[pkt.EthHeaderLen+pkt.IPv4MinLen+7] = 0, 0
 	return map[string][]byte{
 		"vlan-tcp":     full,
 		"qinq":         pkt.NewBuilder().WithVLAN(0x0ABC).WithVLAN(0x0123).WithPayload([]byte("qq")).Build(),
@@ -33,6 +36,7 @@ func packetBattery() map[string][]byte {
 		"kv-get":       pkt.NewBuilder().WithUDP(4000, 11211).WithPayload([]byte("get user:4711\r\n")).Build(),
 		"bad-ip-csum":  pkt.NewBuilder().WithBadIPChecksum().WithPayload([]byte("x")).Build(),
 		"bad-l4-csum":  pkt.NewBuilder().WithTCP(1, 2, 0x10).WithBadL4Checksum().Build(),
+		"udp-no-csum":  noUDPCsum,
 		"ipv6-udp":     pkt.NewBuilder().WithIPv6([16]byte{0xfe, 0x80, 15: 1}, [16]byte{0xfe, 0x80, 15: 2}).WithPayload([]byte("six")).Build(),
 		"non-ip":       arp,
 		"truncated-ip": full[:20],
@@ -204,6 +208,110 @@ func TestMetadataBranchFallsBack(t *testing.T) {
 		}
 		if dev.Lowered() {
 			t.Fatalf("path %d: metadata branch folded", p.ID)
+		}
+		for name, pk := range packetBattery() {
+			rxCompare(t, dev, name, pk)
+		}
+	}
+}
+
+// emitShapesNIC lays out every field shape the emit program compiles, on a
+// path whose record fills all 256 bytes: a folded constant, a 1-bit slot
+// field, another 1-bit constant and a 3-bit slot field sharing byte 0; a
+// 64-bit field at bit offset 9, which spans nine bytes and keeps
+// bitfield.Write; a 31-bit field ending on the record's last byte and a
+// 1-bit field in its last bit, whose 8-byte windows run past the record.
+const emitShapesNIC = `
+struct es_ctx_t {
+    bit<1> wide;
+    bit<3> tag;
+}
+
+struct es_meta_t {
+    @semantic("error_flags")
+    bit<1> err;
+    @semantic("pkt_len")
+    bit<3> len;
+    @semantic("decap")
+    bit<1> decap;
+    @semantic("kv_key")
+    bit<64> key;
+    bit<1943> pad;
+    @semantic("rss")
+    bit<31> rss;
+    @semantic("flow_id")
+    bit<1> last;
+}
+
+control CmptDeparser(cmpt_out cmpt_out, in es_ctx_t ctx, in es_meta_t meta) {
+    apply {
+        cmpt_out.emit(ctx.tag);
+        cmpt_out.emit(meta.err);
+        cmpt_out.emit(ctx.wide);
+        cmpt_out.emit(meta.len);
+        cmpt_out.emit(meta.decap);
+        cmpt_out.emit(meta.key);
+        if (ctx.wide == 1) {
+            cmpt_out.emit(meta.pad);
+            cmpt_out.emit(meta.rss);
+            cmpt_out.emit(meta.last);
+        }
+    }
+}
+`
+
+// TestLoweredEmitShapes: on both paths of emitShapesNIC the compiled emit
+// program has the expected window stores, nine-byte fallback and constant
+// template, and matches the reference interpreter byte for byte.
+func TestLoweredEmitShapes(t *testing.T) {
+	prog, err := parser.Parse("emit_shapes.p4", emitShapesNIC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := sema.Check(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := &nic.Model{Name: "emit-shapes", Source: emitShapesNIC, Info: info, Deparser: core.DeparserSpec{Info: info}}
+	paths, err := m.Paths()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) != 2 {
+		t.Fatalf("%d paths, want 2", len(paths))
+	}
+	for _, p := range paths {
+		dev := MustNew(m, Config{})
+		if err := dev.ApplyConfig(p.Constraints); err != nil {
+			t.Fatal(err)
+		}
+		dev.WriteReg("ctx.tag", 0xD) // folds to 0b101: the field keeps its low 3 bits
+		ep := dev.program()
+		if !ep.lowered {
+			t.Fatalf("path %d did not lower", p.ID)
+		}
+		wide := dev.ReadReg("ctx.wide") == 1
+		wantSize, wantOps := 10, 4
+		if wide {
+			wantSize, wantOps = maxCompletionBytes, 6
+		}
+		if ep.size != wantSize || len(ep.ops) != wantOps {
+			t.Fatalf("path %d: size %d with %d ops, want %d with %d", p.ID, ep.size, len(ep.ops), wantSize, wantOps)
+		}
+		wantTmpl := byte(0b101_0_0_000)
+		if wide {
+			wantTmpl |= 0b1000
+		}
+		if ep.tmpl[0] != wantTmpl {
+			t.Errorf("path %d: template byte 0 = %08b, want %08b", p.ID, ep.tmpl[0], wantTmpl)
+		}
+		for _, op := range ep.ops {
+			if fallback := op.mask == 0; fallback != (op.off == 9 && op.width == 64) {
+				t.Errorf("path %d: field at bit %d width %d: fallback=%v", p.ID, op.off, op.width, fallback)
+			}
+			if wide && op.off+op.width == 8*maxCompletionBytes && op.byte+8 <= maxCompletionBytes {
+				t.Errorf("path %d: last field's window ends inside the record", p.ID)
+			}
 		}
 		for name, pk := range packetBattery() {
 			rxCompare(t, dev, name, pk)

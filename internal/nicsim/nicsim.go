@@ -3,17 +3,18 @@
 // declarative contract the compiler analyzes*: on the first packet after a
 // context-register change it lowers the completion deparser's control-flow
 // graph to a flat emit program — every branch folded under the programmed
-// registers, leaving (bit offset, width, offload slot or constant) writes —
-// and per packet it runs only the offload engines that program reads before
-// DMAing the serialized completion record into a completion ring. The
-// per-packet CFG interpreter the device started from stays as the executable
-// reference (ReferenceCompletion) and as the fallback for deparsers whose
-// branches read per-packet metadata. Either way the layouts the compiler
-// derives and the bytes the device emits are validated against each other
-// end-to-end.
+// registers, leaving a record template holding the folded constants and one
+// precompiled write per offload field — and per packet it runs only the
+// offload engines that program reads before DMAing the serialized completion
+// record into a completion ring. The per-packet CFG interpreter the device
+// started from stays as the executable reference (ReferenceCompletion) and
+// as the fallback for deparsers whose branches read per-packet metadata.
+// Either way the layouts the compiler derives and the bytes the device emits
+// are validated against each other end-to-end.
 package nicsim
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -154,6 +155,10 @@ type envField struct {
 // maxCompletionBytes bounds a single completion record in the simulator.
 const maxCompletionBytes = 256
 
+// emitSlack is the room past the record the emit program's 8-byte window
+// stores may touch (bits outside the field are stored back unchanged).
+const emitSlack = 8
+
 // maxWalkSteps bounds a deparser CFG walk; it only trips on a malformed
 // graph.
 const maxWalkSteps = 10000
@@ -186,7 +191,7 @@ func New(m *nic.Model, cfg Config) (*Device, error) {
 		CmptRing:   ring.MustNew(maxCompletionBytes, cfg.RingEntries),
 		Buffers:    ring.MustNewBufferPool(cfg.BufSize, cfg.RingEntries),
 		envBuf:     make(sema.MapEnv),
-		cmptBuf:    make([]byte, maxCompletionBytes),
+		cmptBuf:    make([]byte, maxCompletionBytes+emitSlack),
 		pathHits:   make([]obs.Counter, len(paths)),
 		fieldIndex: make(map[string]int),
 	}
@@ -494,7 +499,7 @@ func (d *Device) RxPacket(packet []byte) bool {
 	}
 
 	prog := d.program()
-	for ran := d.computeOffloads(packet, prog.need, &d.vals); ran != 0; ran &= ran - 1 {
+	for ran := d.computeOffloads(packet, prog.need, prog.lowered, &d.vals); ran != 0; ran &= ran - 1 {
 		d.offloads[bits.TrailingZeros32(uint32(ran))].Inc()
 	}
 	var n int
@@ -502,7 +507,7 @@ func (d *Device) RxPacket(packet []byte) bool {
 		n = prog.emit(&d.vals, d.cmptBuf)
 	} else {
 		var err error
-		if n, err = d.serializeCompletion(d.buildEnv(&d.vals), d.cmptBuf); err != nil {
+		if n, err = d.serializeCompletion(d.buildEnv(&d.vals), d.cmptBuf[:maxCompletionBytes]); err != nil {
 			d.drops.Inc()
 			return false
 		}
@@ -600,12 +605,20 @@ func (d *Device) Reset() error {
 	return nil
 }
 
-// computeOffloads runs the golden reference engines for the offload slots in
-// need, writing their values into v, and returns the slots whose engine ran.
-// A packet that fails to decode runs no header engine: error_flags reports
-// 0x80 (parse error) and every other header slot reads 0. decap_flag runs
-// only for tunnelled packets, as its engine only fires on a decapsulation.
-func (d *Device) computeOffloads(packet []byte, need offloadSet, v *[numOffloads]uint64) offloadSet {
+// hwRSS is the device RSS engine: the Toeplitz table of the key softnic.RSS
+// hashes under.
+var hwRSS = softnic.ToeplitzTableFor(softnic.DefaultToeplitzKey[:])
+
+// computeOffloads runs the offload engines for the slots in need, writing
+// their values into v, and returns the slots whose engine ran. A packet that
+// fails to decode runs no header engine: error_flags reports 0x80 (parse
+// error) and every other header slot reads 0. decap_flag runs only for
+// tunnelled packets, as its engine only fires on a decapsulation. With hw
+// set, the engines are the silicon models a lowered program runs: table
+// RSS, and one L4 checksum pass shared by l4_checksum and error_flags.
+// Without it they are the SoftNIC reference bodies the interpreter runs.
+// Both produce the same values.
+func (d *Device) computeOffloads(packet []byte, need offloadSet, hw bool, v *[numOffloads]uint64) offloadSet {
 	v[oPktLen] = uint64(len(packet))
 	v[oTimestamp] = d.clock
 	v[oQueueID] = uint64(d.cfg.QueueID)
@@ -630,13 +643,20 @@ func (d *Device) computeOffloads(packet []byte, need offloadSet, v *[numOffloads
 	ran |= hdr &^ (1 << oDecapFlag)
 	has := func(slot int) bool { return hdr&(1<<slot) != 0 }
 	if has(oRSS) {
-		v[oRSS] = uint64(softnic.RSS(in))
+		if hw {
+			v[oRSS] = uint64(hwRSS.RSS(in))
+		} else {
+			v[oRSS] = uint64(softnic.RSS(in))
+		}
 	}
 	if has(oIPChecksum) {
 		v[oIPChecksum] = uint64(softnic.IPChecksum(in))
 	}
+	var l4 uint16
+	var l4ok bool
 	if has(oL4Checksum) {
-		v[oL4Checksum] = uint64(softnic.L4Checksum(in))
+		l4, l4ok = pkt.L4Checksum(in)
+		v[oL4Checksum] = uint64(l4)
 	}
 	if has(oVLAN) {
 		v[oVLAN] = uint64(softnic.VLANTCI(in))
@@ -668,7 +688,11 @@ func (d *Device) computeOffloads(packet []byte, need offloadSet, v *[numOffloads
 		v[oL4Port] = uint64(in.DstPort)
 	}
 	if has(oErrorFlags) {
-		v[oErrorFlags] = softnic.ErrorFlags(in)
+		if hw && has(oL4Checksum) {
+			v[oErrorFlags] = softnic.ErrorFlagsL4(in, l4, l4ok)
+		} else {
+			v[oErrorFlags] = softnic.ErrorFlags(in)
+		}
 	}
 	if has(oChecksumAny) {
 		v[oChecksumAny] = softnic.ChecksumAny(in)
@@ -712,7 +736,7 @@ func (d *Device) buildEnv(vals *[numOffloads]uint64) sema.MapEnv {
 // packet).
 func (d *Device) ReferenceCompletion(packet []byte) ([]byte, error) {
 	var vals [numOffloads]uint64
-	d.computeOffloads(packet, allOffloads, &vals)
+	d.computeOffloads(packet, allOffloads, false, &vals)
 	rec := make([]byte, maxCompletionBytes)
 	n, err := d.serializeCompletion(d.buildEnv(&vals), rec)
 	if err != nil {
@@ -722,15 +746,19 @@ func (d *Device) ReferenceCompletion(packet []byte) ([]byte, error) {
 }
 
 // emitProgram is the completion deparser lowered under one context: the
-// branches folded away, leaving the flat list of field writes the selected
-// path performs.
+// branches folded away, leaving a record template and the offload-field
+// writes the selected path performs.
 type emitProgram struct {
 	// lowered is false when the deparser did not fold (a reachable branch
 	// reads per-packet metadata, no enumerated path matches the context, or
 	// the walk fails for every packet); RxPacket then runs the reference
 	// interpreter, with every offload engine.
 	lowered bool
-	ops     []emitOp
+	// tmpl is the completion record with every folded constant written and
+	// every other bit zero.
+	tmpl []byte
+	// ops writes the offload-slot fields over a copy of tmpl.
+	ops []emitOp
 	// need is the set of offload slots the ops read.
 	need offloadSet
 	// size is the completion record size in bytes.
@@ -740,26 +768,44 @@ type emitProgram struct {
 	pathIdx int
 }
 
-// emitOp writes one completion field: an offload value, or a folded
-// constant when slot is −1. Zero constants are omitted (the record starts
-// zeroed).
+// emitOp writes one offload value into a completion field. A field that
+// fits one 64-bit window (off%8+width ≤ 64) is a big-endian load–mask–store
+// of the 8 bytes at byte: the field is the mask bits, the value shifted left
+// by shift. A field spanning nine bytes has mask 0 and goes through
+// bitfield.Write at (off, width).
 type emitOp struct {
-	off, width int
 	slot       int
-	val        uint64
+	byte       int
+	shift      uint
+	mask       uint64
+	off, width int
 }
 
-// emit serializes the completion record into dst and returns its size.
+// compileEmitOp precomputes the window store for a slot field at bit off.
+func compileEmitOp(slot, off, width int) emitOp {
+	op := emitOp{slot: slot, off: off, width: width}
+	if end := off%8 + width; end <= 64 {
+		op.byte = off / 8
+		op.shift = uint(64 - end)
+		op.mask = ^uint64(0) >> (64 - width) << op.shift
+	}
+	return op
+}
+
+// emit serializes the completion record into dst and returns its size. dst
+// holds at least size+emitSlack bytes: a window store may reach past the
+// record.
 func (p *emitProgram) emit(vals *[numOffloads]uint64, dst []byte) int {
-	rec := dst[:p.size]
-	clear(rec)
+	copy(dst, p.tmpl)
 	for i := range p.ops {
 		op := &p.ops[i]
-		v := op.val
-		if op.slot >= 0 {
-			v = vals[op.slot]
+		v := vals[op.slot]
+		if op.mask == 0 {
+			bitfield.Write(dst[:p.size], op.off, op.width, v)
+			continue
 		}
-		bitfield.Write(rec, op.off, op.width, v)
+		w := dst[op.byte : op.byte+8]
+		binary.BigEndian.PutUint64(w, binary.BigEndian.Uint64(w)&^op.mask|v<<op.shift&op.mask)
 	}
 	return p.size
 }
@@ -796,6 +842,7 @@ func (d *Device) lower() *emitProgram {
 		}
 	}
 	p := &emitProgram{lowered: true, pathIdx: ref.pathIdx}
+	tmpl := make([]byte, maxCompletionBytes)
 	info := d.graph.Info()
 	env := foldEnv{d}
 	node := d.graph.Entry
@@ -810,12 +857,12 @@ func (d *Device) lower() *emitProgram {
 					return ref
 				}
 				if f.WidthBits <= 64 {
-					if op, ok := d.lowerField(f.Name); ok {
-						op.off, op.width = offBits, f.WidthBits
-						if op.slot >= 0 {
-							p.need |= 1 << op.slot
-						}
-						p.ops = append(p.ops, op)
+					switch slot, val := d.lowerField(f.Name); {
+					case slot >= 0:
+						p.need |= 1 << slot
+						p.ops = append(p.ops, compileEmitOp(slot, offBits, f.WidthBits))
+					case val != 0:
+						bitfield.Write(tmpl, offBits, f.WidthBits, val)
 					}
 				}
 				offBits += f.WidthBits
@@ -828,25 +875,19 @@ func (d *Device) lower() *emitProgram {
 		node = next
 	}
 	p.size = (offBits + 7) / 8
+	p.tmpl = tmpl[:p.size]
 	return p
 }
 
 // lowerField resolves what the reference environment would hold for an
 // emitted field: a metadata field reads its offload slot, a context
-// register folds to its value, anything else is zero. ok is false for a
-// field that always writes zero.
-func (d *Device) lowerField(name string) (op emitOp, ok bool) {
+// register folds to its value, anything else is zero. slot is −1 for a
+// field that is not an offload value; val is its folded constant.
+func (d *Device) lowerField(name string) (slot int, val uint64) {
 	if i, meta := d.fieldIndex[name]; meta {
-		f := d.envFields[i]
-		if f.slot < 0 {
-			return emitOp{}, false
-		}
-		return emitOp{slot: f.slot}, true
+		return d.envFields[i].slot, 0
 	}
-	if v := d.ctx[name].Uint; v != 0 {
-		return emitOp{slot: -1, val: v}, true
-	}
-	return emitOp{}, false
+	return -1, d.ctx[name].Uint
 }
 
 // foldEnv is the environment branches fold under while lowering: the

@@ -138,9 +138,14 @@ func L4Checksum(in *Info) (uint16, bool) {
 // VerifyL4 reports whether the packet's TCP/UDP checksum is valid.
 func VerifyL4(in *Info) bool {
 	want, ok := L4Checksum(in)
-	if !ok {
-		return false
-	}
+	return ok && L4ChecksumMatches(in, want)
+}
+
+// L4ChecksumMatches reports whether the TCP/UDP checksum field of in equals
+// want, the value L4Checksum returned with ok for in; a zero UDP checksum
+// (optional over IPv4) always matches. It is VerifyL4's comparison, for a
+// caller that already holds the checksum.
+func L4ChecksumMatches(in *Info, want uint16) bool {
 	l4 := in.Data[in.L4Off:]
 	csumOff := 16
 	if in.L4 == L4UDP {

@@ -9,6 +9,7 @@ package softnic
 import (
 	"bytes"
 	"encoding/binary"
+	"sync"
 	"time"
 
 	"opendesc/internal/codegen"
@@ -39,7 +40,12 @@ var SymmetricToeplitzKey = [40]byte{
 }
 
 // Toeplitz computes the Toeplitz hash of input under key, as NIC RSS engines
-// do.
+// do. It is the body of the SoftNIC rss shim and the reference every
+// ToeplitzTable is tested against. It stays bit-serial on purpose: the rss
+// shim's measured cost is what E11's streaming collapse, E12 and the
+// calibrated w(rss) that feeds Eq. 1 and E15 rest on, so it may only get
+// faster once E11 is restated as a deterministic work count (ROADMAP 5(a)).
+// Engines that model RSS silicon use ToeplitzTableFor instead.
 func Toeplitz(key []byte, input []byte) uint32 {
 	if len(key) < 4 {
 		return 0 // no 32-bit window ever forms
@@ -93,6 +99,105 @@ func RSSKey(key []byte, in *pkt.Info) uint32 {
 		n += 4
 	}
 	return Toeplitz(key, buf[:n])
+}
+
+// toeplitzRows is the number of input bytes a ToeplitzTable covers: the
+// longest RSS input, an IPv6 4-tuple.
+const toeplitzRows = 36
+
+// ToeplitzTable is the Toeplitz hash under one key precomputed the way RSS
+// silicon evaluates it: row i holds, for each value of input byte i, the XOR
+// of the 32-bit key windows that byte's set bits select, so a hash costs one
+// load and one XOR per input byte. The 36 KiB of rows are built on first
+// use, not when the table is made.
+type ToeplitzTable struct {
+	key  []byte
+	once sync.Once
+	rows *[toeplitzRows][256]uint32
+}
+
+var (
+	defaultToeplitzTable   = &ToeplitzTable{key: DefaultToeplitzKey[:]}
+	symmetricToeplitzTable = &ToeplitzTable{key: SymmetricToeplitzKey[:]}
+)
+
+// ToeplitzTableFor returns the table for key: one shared per process for
+// DefaultToeplitzKey and SymmetricToeplitzKey, a new one (holding a copy of
+// key) for any other key.
+func ToeplitzTableFor(key []byte) *ToeplitzTable {
+	switch {
+	case bytes.Equal(key, DefaultToeplitzKey[:]):
+		return defaultToeplitzTable
+	case bytes.Equal(key, SymmetricToeplitzKey[:]):
+		return symmetricToeplitzTable
+	}
+	return &ToeplitzTable{key: bytes.Clone(key)}
+}
+
+// table returns the rows, building them on the first call. Row i is built
+// from the eight windows of input byte i: window b (input bit 8i+b, MSB
+// first) is key bits 8i+b..8i+b+31, zero-padded past the end of the key.
+// The row doubles one bit at a time, from the byte's least significant bit:
+// the entries with that bit set are the entries below it XOR its window.
+func (t *ToeplitzTable) table() *[toeplitzRows][256]uint32 {
+	t.once.Do(func() {
+		rows := new([toeplitzRows][256]uint32)
+		if len(t.key) >= 4 { // a shorter key forms no window: Toeplitz is 0
+			for i := range rows {
+				var w uint64 // key bits 8i..8i+63
+				for k := i; k < i+8; k++ {
+					w <<= 8
+					if k < len(t.key) {
+						w |= uint64(t.key[k])
+					}
+				}
+				row := &rows[i]
+				for b := 7; b >= 0; b-- {
+					win, bit := uint32(w>>(32-b)), 0x80>>b
+					hi := row[bit : 2*bit]
+					for v, x := range row[:bit] {
+						hi[v] = x ^ win
+					}
+				}
+			}
+		}
+		t.rows = rows
+	})
+	return t.rows
+}
+
+// hash equals Toeplitz(key, input) for inputs of at most 36 B.
+func (t *ToeplitzTable) hash(input []byte) uint32 {
+	rows := t.table()
+	var h uint32
+	for i, b := range input {
+		h ^= rows[i][b]
+	}
+	return h
+}
+
+// RSS equals RSSKey(key, in): the same tuple, hashed field by field straight
+// from the decoded packet.
+func (t *ToeplitzTable) RSS(in *pkt.Info) uint32 {
+	var n int
+	switch in.L3 {
+	case pkt.L3IPv4:
+		n = 4
+	case pkt.L3IPv6:
+		n = 16
+	default:
+		return 0
+	}
+	rows := t.table()
+	var h uint32
+	for i := 0; i < n; i++ {
+		h ^= rows[i][in.SrcIP[i]] ^ rows[n+i][in.DstIP[i]]
+	}
+	if in.L4 == pkt.L4TCP || in.L4 == pkt.L4UDP {
+		p := rows[2*n : 2*n+4]
+		h ^= p[0][in.SrcPort>>8] ^ p[1][byte(in.SrcPort)] ^ p[2][in.DstPort>>8] ^ p[3][byte(in.DstPort)]
+	}
+	return h
 }
 
 // FlowID computes a symmetric exact-match flow identifier (FNV-1a over the
@@ -208,11 +313,20 @@ func KVKey(in *pkt.Info) uint64 {
 // ErrorFlags reports checksum errors of a decoded packet: bit 0 a bad IPv4
 // header checksum, bit 1 a bad TCP/UDP checksum.
 func ErrorFlags(in *pkt.Info) uint64 {
+	l4, ok := pkt.L4Checksum(in)
+	return ErrorFlagsL4(in, l4, ok)
+}
+
+// ErrorFlagsL4 is ErrorFlags for a caller that already ran pkt.L4Checksum
+// on in (l4, ok are its results): the TCP/UDP bit compares l4 with the
+// header field exactly as pkt.VerifyL4 does, without a second pass over the
+// segment.
+func ErrorFlagsL4(in *pkt.Info, l4 uint16, ok bool) uint64 {
 	var f uint64
 	if hdr := ipv4Header(in); hdr != nil && !pkt.VerifyIPv4Header(hdr) {
 		f |= 1
 	}
-	if (in.L4 == pkt.L4TCP || in.L4 == pkt.L4UDP) && !pkt.VerifyL4(in) {
+	if (in.L4 == pkt.L4TCP || in.L4 == pkt.L4UDP) && !(ok && pkt.L4ChecksumMatches(in, l4)) {
 		f |= 2
 	}
 	return f

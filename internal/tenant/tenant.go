@@ -156,6 +156,8 @@ type Plane struct {
 	byPort  map[uint16]int
 	clock   vclock.Clock
 	mix     *evolve.MixTracker
+	// rss is the steering engine: the Toeplitz table of opts.Key.
+	rss *softnic.ToeplitzTable
 
 	lastEval uint64 // aggregate deliveries at the last MaybeRenegotiate
 
@@ -187,6 +189,7 @@ func Open(opts Options, specs ...Spec) (*Plane, error) {
 		model:  m,
 		opts:   opts,
 		clock:  vclock.Or(opts.Clock),
+		rss:    softnic.ToeplitzTableFor(opts.Key),
 		byPort: make(map[uint16]int, len(specs)),
 	}
 	intents := make([][]semantics.Name, len(specs))
@@ -300,9 +303,11 @@ func (p *Plane) Generation() uint64 {
 }
 
 // Steer computes the RSS shard a decoded packet lands on — exposed so
-// harnesses can model the plane's sharding decision.
+// harnesses can model the plane's sharding decision. The hash is
+// softnic.RSSKey under the steering key, evaluated by table as NIC RSS
+// silicon does.
 func (p *Plane) Steer(info *pkt.Info) int {
-	return int(softnic.RSSKey(p.opts.Key, info) % uint32(len(p.queues)))
+	return int(p.rss.RSS(info) % uint32(len(p.queues)))
 }
 
 // Rx accepts one packet from the wire: classify its tenant by destination

@@ -471,3 +471,48 @@ func TestPlaneMetrics(t *testing.T) {
 		t.Errorf("collisions = %d registering one plane", reg.Collisions())
 	}
 }
+
+// TestSteerMatchesRSSKey pins steering to softnic.RSSKey under the
+// steering key, for the default symmetric key and a custom one, over
+// IPv4/IPv6 × TCP/UDP and non-IP frames.
+func TestSteerMatchesRSSKey(t *testing.T) {
+	custom := append([]byte(nil), softnic.DefaultToeplitzKey[:]...)
+	custom[7] ^= 0x5A
+	frames := make([][]byte, 0, 4*64+1)
+	for i := 0; i < 64; i++ {
+		v4s, v4d := [4]byte{10, byte(i), 0, 1}, [4]byte{192, 168, byte(i * 7), 2}
+		v6s, v6d := [16]byte{0xfe, 0x80, 14: byte(i), 15: 1}, [16]byte{0x20, 0x01, 13: byte(i * 3), 15: 2}
+		sp, dp := uint16(1024+i*977), uint16(20000+i)
+		frames = append(frames,
+			pkt.NewBuilder().WithIPv4(v4s, v4d).WithTCP(sp, dp, 0x10).Build(),
+			pkt.NewBuilder().WithIPv4(v4s, v4d).WithUDP(sp, dp).Build(),
+			pkt.NewBuilder().WithIPv6(v6s, v6d).WithTCP(sp, dp, 0x10).Build(),
+			pkt.NewBuilder().WithIPv6(v6s, v6d).WithUDP(sp, dp).Build())
+	}
+	arp := pkt.NewBuilder().WithPayload(make([]byte, 28)).Build()
+	arp[12], arp[13] = 0x08, 0x06
+	frames = append(frames, arp)
+	for _, tc := range []struct {
+		name string
+		key  []byte
+	}{{"symmetric", nil}, {"custom", custom}} {
+		p, err := Open(Options{NIC: "mlx5", Cores: 3, Key: tc.key}, fourTenants()...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		key := tc.key
+		if key == nil {
+			key = softnic.SymmetricToeplitzKey[:]
+		}
+		for i, f := range frames {
+			var in pkt.Info
+			if err := pkt.Decode(f, &in); err != nil {
+				t.Fatal(err)
+			}
+			want := int(softnic.RSSKey(key, &in) % 3)
+			if got := p.Steer(&in); got != want {
+				t.Errorf("%s frame %d (%v/%v): steered to %d, RSSKey says %d", tc.name, i, in.L3, in.L4, got, want)
+			}
+		}
+	}
+}
